@@ -634,7 +634,6 @@ fn finalize(
         // single-process run produces (the byte-identity guarantee is
         // the replay, not the merge).
         let mut report = run_campaign(spec, shared, cfg.workers)?;
-        report.workers = cfg.workers;
         report.elapsed_ms = start.elapsed().as_millis();
         sink.emit(&Event::CampaignDone {
             cells: report.cells.len(),
@@ -660,10 +659,10 @@ fn finalize(
     // record list a single-process run produces — and re-simulates any
     // cell whose cached result went missing (or was torn by a dying
     // worker), so the report is always complete. Its cache counters
-    // describe this assembly pass (hits ≈ every fleet-computed cell).
+    // and worker count describe this assembly pass (hits ≈ every
+    // fleet-computed cell).
     let cache = ResultCache::at_dir(&merged_dir)?;
     let mut report = run_campaign(spec, &cache, cfg.workers)?;
-    report.workers = cfg.workers;
     report.elapsed_ms = start.elapsed().as_millis();
     sink.emit(&Event::CampaignDone {
         cells: report.cells.len(),

@@ -3,22 +3,28 @@
 //! The executor materializes a [`SweepSpec`] grid, probes the
 //! [`ResultCache`] for every cell, then drives the remaining cells
 //! through a pool of `std::thread` workers pulling from a shared atomic
-//! work queue (run-to-idle work stealing: a fast worker simply takes the
-//! next cell, so stragglers never gate throughput). Two properties hold
+//! work queue. Every distinct cache-missing scenario is one job — one
+//! [`Accelerator::run_with`] call — so a campaign over a single workload
+//! still spreads across every worker, and a fast worker simply takes the
+//! next cell, so stragglers never gate throughput. Three properties hold
 //! for any worker count:
 //!
 //! * **deterministic output** — results are assembled by grid index, so
 //!   the report is byte-identical for 1 or 64 workers;
 //! * **workload reuse** — each distinct (workload, category, seed)
 //!   triple is built exactly once and shared read-only across workers,
-//!   because mask construction dominates small-cell campaigns.
+//!   because mask construction dominates small-cell campaigns;
+//! * **grid reuse** — jobs are queued in grid order (architecture
+//!   fastest), and each worker scopes its scratch to the job's
+//!   workload, so consecutive architectures over one workload share the
+//!   memoized tile grids.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use griffin_core::accelerator::{Accelerator, Workload};
+use griffin_core::accelerator::{Accelerator, RunReport, Workload};
 use griffin_core::category::DnnCategory;
 use griffin_sim::scratch::SimScratch;
 
@@ -54,7 +60,8 @@ pub struct CampaignReport {
     pub cells: Vec<CellRecord>,
     /// Cache activity during this campaign only.
     pub cache: CacheStats,
-    /// Worker threads used (not serialized; informational).
+    /// Simulation worker threads spawned — 0 when every cell was served
+    /// from the cache (not serialized; informational).
     pub workers: usize,
     /// Wall-clock milliseconds (not serialized; informational).
     pub elapsed_ms: u128,
@@ -162,50 +169,17 @@ fn workload_memo() -> &'static Mutex<HashMap<Fingerprint, Arc<Workload>>> {
     MEMO.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Key identifying a seed-batch group: cells agreeing on everything but
-/// the mask seed simulate word-parallel through one
-/// [`Accelerator::run_batch`] call.
-fn batch_key(cell: &Cell) -> Fingerprint {
-    let mut h = Hasher::new();
-    h.str("griffin-batch-group-v1")
-        .feed(&cell.workload)
-        .feed(&cell.category)
-        .feed(&cell.arch);
-    h.finish()
-}
-
-/// Maximum seed-variant planes per batched simulation, read from the
-/// environment: `GRIFFIN_UNBATCHED=1` forces plane-at-a-time execution
-/// (the historical path — reports are byte-identical either way, which
-/// CI pins), `GRIFFIN_BATCH=n` caps batches at `n` planes, and the
-/// default is unbounded (one batch per seed-variant group).
-fn env_batch_cap() -> usize {
-    let set = |k: &str| std::env::var(k).ok().filter(|v| !v.is_empty() && v != "0");
-    if set("GRIFFIN_UNBATCHED").is_some() {
-        return 1;
+/// The cache record of one simulation run.
+fn cell_metrics(report: &RunReport) -> CellMetrics {
+    CellMetrics {
+        speedup: report.speedup,
+        cycles: report.network.cycles(),
+        dense_cycles: report.network.dense_cycles(),
+        power_mw: report.cost.power_mw(),
+        area_mm2: report.cost.area_mm2(),
+        tops_per_w: report.effective_tops_per_w,
+        tops_per_mm2: report.effective_tops_per_mm2,
     }
-    set("GRIFFIN_BATCH")
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(usize::MAX)
-}
-
-/// Maximum architectures per family-batched simulation, read from the
-/// environment: `GRIFFIN_UNBATCHED=1` forces one architecture per
-/// simulation call (covering the arch axis as well as the seed axis),
-/// `GRIFFIN_ARCH_BATCH=n` caps family width at `n`, and the default is
-/// unbounded (one call per whole architecture family). Reports are
-/// byte-identical at every width — family batching only changes how
-/// many event-core passes the scheduler can share.
-fn env_arch_cap() -> usize {
-    let set = |k: &str| std::env::var(k).ok().filter(|v| !v.is_empty() && v != "0");
-    if set("GRIFFIN_UNBATCHED").is_some() {
-        return 1;
-    }
-    set("GRIFFIN_ARCH_BATCH")
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(usize::MAX)
 }
 
 /// A live progress event emitted by [`run_cells`] while a campaign is
@@ -241,8 +215,10 @@ pub fn no_observer(_: &CellEvent<'_>) {}
 /// were already simulated (by this process or, with a directory-backed
 /// cache, by any earlier one).
 ///
-/// `workers` is clamped to `[1, cells]`. Cache counters in the returned
-/// report cover this campaign only.
+/// At most `workers` simulation threads run, and never more than there
+/// are distinct cache-missing scenarios; the report's
+/// [`CampaignReport::workers`] records how many were spawned. Cache
+/// counters in the returned report cover this campaign only.
 ///
 /// # Errors
 ///
@@ -258,7 +234,18 @@ pub fn run_campaign(
     }
     let start = Instant::now();
     let stats_before = cache.stats();
-    let records = run_cells(spec, &spec.cells(), cache, workers, &no_observer)?;
+    // Every simulation thread parks exactly one scratch in the pool on
+    // exit, so the pool's size afterwards is the spawned-thread count.
+    let pool = ScratchPool::new();
+    let records = run_cells_pooled(
+        spec,
+        &spec.cells(),
+        cache,
+        workers,
+        workers.max(default_workers()),
+        &no_observer,
+        &pool,
+    )?;
 
     let after = cache.stats();
     Ok(CampaignReport {
@@ -270,7 +257,7 @@ pub fn run_campaign(
             disk_hits: after.disk_hits - stats_before.disk_hits,
             stores: after.stores - stats_before.stores,
         },
-        workers,
+        workers: pool.parked(),
         elapsed_ms: start.elapsed().as_millis(),
     })
 }
@@ -346,6 +333,10 @@ pub fn run_cells_bounded(
 /// across campaigns. Determinism is unaffected: a scratch carries
 /// capacity, never results.
 ///
+/// Each worker that runs parks one scratch in `pool` on exit. At most
+/// `workers` run, and never more than there are distinct
+/// cache-missing scenarios (none when every cell is cached).
+///
 /// # Errors
 ///
 /// As [`run_cells`].
@@ -357,40 +348,6 @@ pub fn run_cells_pooled(
     build_workers: usize,
     observe: &(dyn Fn(&CellEvent<'_>) + Sync),
     pool: &ScratchPool,
-) -> Result<Vec<CellRecord>, SweepError> {
-    run_cells_capped(
-        spec,
-        cells,
-        cache,
-        workers,
-        build_workers,
-        observe,
-        pool,
-        env_batch_cap(),
-        env_arch_cap(),
-    )
-}
-
-/// [`run_cells_pooled`] with explicit seed-batch and arch-family caps
-/// instead of the environment's (`GRIFFIN_UNBATCHED` / `GRIFFIN_BATCH`
-/// / `GRIFFIN_ARCH_BATCH`): `batch_cap` 1 is plane-at-a-time execution
-/// and larger caps split each seed-variant group into batches of at
-/// most that many planes; `arch_cap` 1 simulates one architecture per
-/// call and larger caps hand up to that many family members to one
-/// multi-window scheduling pass. Reports are byte-identical at
-/// **every** cap combination and worker count — the batch-equivalence
-/// harness sweeps all three axes against this entry point.
-#[allow(clippy::too_many_arguments)]
-pub fn run_cells_capped(
-    spec: &SweepSpec,
-    cells: &[Cell],
-    cache: &ResultCache,
-    workers: usize,
-    build_workers: usize,
-    observe: &(dyn Fn(&CellEvent<'_>) + Sync),
-    pool: &ScratchPool,
-    batch_cap: usize,
-    arch_cap: usize,
 ) -> Result<Vec<CellRecord>, SweepError> {
     let fingerprints: Vec<Fingerprint> = cells.iter().map(|c| c.fingerprint(&spec.sim)).collect();
 
@@ -421,58 +378,7 @@ pub fn run_cells_capped(
     }
 
     if !missing.is_empty() {
-        // Group the missing cells into batch units: cells differing only
-        // by mask seed share grid shapes, so one worker simulates a whole
-        // unit word-parallel via `Accelerator::run_batch`. Units keep the
-        // grid order of `missing` (architecture-major), so consecutive
-        // units sweep architectures over one workload group and the
-        // reuse scope below shares every plane's tile grids across them.
-        let cap = batch_cap.max(1);
-        let mut units: Vec<Vec<usize>> = Vec::new();
-        {
-            let mut unit_of: HashMap<Fingerprint, usize> = HashMap::new();
-            for &i in &missing {
-                let key = batch_key(&cells[i]);
-                match unit_of.get(&key) {
-                    Some(&u) if units[u].len() < cap => units[u].push(i),
-                    _ => {
-                        unit_of.insert(key, units.len());
-                        units.push(vec![i]);
-                    }
-                }
-            }
-        }
-        // Widen units into *family groups*: units agreeing on everything
-        // but the architecture — same workload, category and seed-plane
-        // list — hand their whole architecture family to one
-        // `Accelerator::run_family_batch` call, where same-reach
-        // borrowing windows share event-core passes. The seed tuple is
-        // part of the key so partially-cached families (some arches'
-        // cells already served) split into runs with identical planes.
-        let acap = arch_cap.max(1);
-        let mut families: Vec<Vec<usize>> = Vec::new();
-        {
-            let mut fam_of: HashMap<Fingerprint, usize> = HashMap::new();
-            for (u, unit) in units.iter().enumerate() {
-                let lead = &cells[unit[0]];
-                let mut h = Hasher::new();
-                h.str("griffin-family-group-v1")
-                    .feed(&lead.workload)
-                    .feed(&lead.category);
-                for &i in unit {
-                    h.u64(cells[i].seed);
-                }
-                let key = h.finish();
-                match fam_of.get(&key) {
-                    Some(&f) if families[f].len() < acap => families[f].push(u),
-                    _ => {
-                        fam_of.insert(key, families.len());
-                        families.push(vec![u]);
-                    }
-                }
-            }
-        }
-        let workers = workers.clamp(1, families.len());
+        let workers = workers.clamp(1, missing.len());
 
         // Phase 2: build each distinct workload once, in parallel.
         let mut keys: Vec<Fingerprint> = Vec::new();
@@ -553,110 +459,51 @@ pub fn run_cells_capped(
         }
         let built = built.into_inner().expect("build lock");
 
-        // Phase 3: simulate the batch units, any worker, any order.
-        // Each worker keeps one `SimScratch` for its whole run, so the
-        // per-tile scheduler loop allocates nothing at steady state.
+        // Phase 3: simulate the missing cells, one job per cell, any
+        // worker, any order. Each worker keeps one `SimScratch` for its
+        // whole run, so the per-tile scheduler loop allocates nothing at
+        // steady state.
         let done: Mutex<Vec<(usize, CellMetrics)>> = Mutex::new(Vec::with_capacity(missing.len()));
-        let next_family = AtomicUsize::new(0);
+        let next = AtomicUsize::new(0);
         // Check every worker's scratch out before spawning so a fast
         // worker that finishes early can't park a scratch a slow-to-start
         // worker then steals (each worker must hold a distinct scratch).
         let scratches: Vec<SimScratch> = (0..workers).map(|_| pool.checkout()).collect();
         std::thread::scope(|s| {
             for mut scratch in scratches {
-                let (units, families, fingerprints, built, twins, done, next_family) = (
-                    &units,
-                    &families,
-                    &fingerprints,
-                    &built,
-                    &twins,
-                    &done,
-                    &next_family,
-                );
+                let (missing, fingerprints, built, twins, done, next) =
+                    (&missing, &fingerprints, &built, &twins, &done, &next);
                 s.spawn(move || {
                     loop {
-                        let f = next_family.fetch_add(1, Ordering::Relaxed);
-                        if f >= families.len() {
+                        let j = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&i) = missing.get(j) else {
                             break;
+                        };
+                        let cell = &cells[i];
+                        observe(&CellEvent::Started {
+                            cell,
+                            fingerprint: fingerprints[i],
+                        });
+                        // Scoping the scratch to the workload (not the
+                        // architecture) shares its tile grids across the
+                        // consecutive architecture jobs this worker takes.
+                        let key = workload_key(cell);
+                        scratch.begin_reuse_scope((u128::from(key.0) << 64) | u128::from(key.1));
+                        let report = Accelerator::new(cell.arch.clone(), spec.sim)
+                            .run_with(&built[&key], &mut scratch);
+                        let m = cell_metrics(&report);
+                        cache.insert(fingerprints[i], m);
+                        // Stream completion for the simulated cell and
+                        // every in-campaign twin it resolves.
+                        for &twin in &twins[&fingerprints[i]] {
+                            observe(&CellEvent::Finished {
+                                cell: &cells[twin],
+                                fingerprint: fingerprints[twin],
+                                metrics: m,
+                                cached: twin != i,
+                            });
                         }
-                        let family = &families[f];
-                        for &u in family {
-                            for &i in &units[u] {
-                                observe(&CellEvent::Started {
-                                    cell: &cells[i],
-                                    fingerprint: fingerprints[i],
-                                });
-                            }
-                        }
-                        // Every unit of a family shares its seed-plane
-                        // list (it's part of the family key), so one
-                        // workload list serves all of them.
-                        let unit0 = &units[family[0]];
-                        let wls: Vec<Arc<Workload>> = unit0
-                            .iter()
-                            .map(|&i| Arc::clone(&built[&workload_key(&cells[i])]))
-                            .collect();
-                        let planes: Vec<&Workload> = wls.iter().map(Arc::as_ref).collect();
-                        // Scoping the scratch to the group (workload,
-                        // category, ordered seeds — *not* the
-                        // architecture) shares every plane's tile grids
-                        // and cached schedules across the whole family.
-                        let lead = &cells[unit0[0]];
-                        let mut h = Hasher::new();
-                        h.str("griffin-batch-scope-v1")
-                            .feed(&lead.workload)
-                            .feed(&lead.category);
-                        for &i in unit0 {
-                            h.u64(cells[i].seed);
-                        }
-                        let token = h.finish();
-                        scratch
-                            .begin_reuse_scope((u128::from(token.0) << 64) | u128::from(token.1));
-                        // Singleton families take the historical
-                        // single-arch path; wider ones hand the family
-                        // to one multi-window scheduling pass. Reports
-                        // are bitwise identical either way (pinned by
-                        // batch-equivalence tests).
-                        let family_reports: Vec<Vec<griffin_core::accelerator::RunReport>> =
-                            if family.len() == 1 {
-                                vec![Accelerator::new(lead.arch.clone(), spec.sim)
-                                    .run_batch(&planes, &mut scratch)]
-                            } else {
-                                let accel_objs: Vec<Accelerator> = family
-                                    .iter()
-                                    .map(|&u| {
-                                        Accelerator::new(cells[units[u][0]].arch.clone(), spec.sim)
-                                    })
-                                    .collect();
-                                let accels: Vec<&Accelerator> = accel_objs.iter().collect();
-                                Accelerator::run_family_batch(&accels, &planes, &mut scratch)
-                            };
-                        for (&u, reports) in family.iter().zip(&family_reports) {
-                            for (&i, report) in units[u].iter().zip(reports) {
-                                let m = CellMetrics {
-                                    speedup: report.speedup,
-                                    cycles: report.network.cycles(),
-                                    dense_cycles: report.network.dense_cycles(),
-                                    power_mw: report.cost.power_mw(),
-                                    area_mm2: report.cost.area_mm2(),
-                                    tops_per_w: report.effective_tops_per_w,
-                                    tops_per_mm2: report.effective_tops_per_mm2,
-                                };
-                                cache.insert(fingerprints[i], m);
-                                // Stream completion for the simulated
-                                // cell and every in-campaign twin it
-                                // resolves.
-                                for &twin in &twins[&fingerprints[i]] {
-                                    observe(&CellEvent::Finished {
-                                        cell: &cells[twin],
-                                        fingerprint: fingerprints[twin],
-                                        metrics: m,
-                                        cached: twin != i,
-                                    });
-                                }
-                                done.lock().expect("done lock").push((i, m));
-                            }
-                        }
+                        done.lock().expect("done lock").push((i, m));
                     }
                     pool.give_back(scratch);
                 });
@@ -730,6 +577,10 @@ mod tests {
         assert_eq!(second.cache.hits, 12);
         assert_eq!(second.cache.misses, 0);
         assert_eq!(first.cells, second.cells);
+        // The report counts threads actually spawned: none when nothing
+        // missed the cache.
+        assert_eq!(first.workers, 3);
+        assert_eq!(second.workers, 0);
     }
 
     #[test]
@@ -879,57 +730,12 @@ mod tests {
         assert_eq!(pool.parked(), 2);
     }
 
-    #[test]
-    fn batch_caps_and_worker_count_never_change_records() {
-        let spec = small_spec();
-        let cells = spec.cells();
-        let pool = ScratchPool::new();
-        // Caps (1, 1) are plane-at-a-time, arch-at-a-time execution —
-        // the historical path.
-        let unbatched = run_cells_capped(
-            &spec,
-            &cells,
-            &ResultCache::in_memory(),
-            1,
-            1,
-            &no_observer,
-            &pool,
-            1,
-            1,
-        )
-        .unwrap();
-        for cap in [1, 2, usize::MAX] {
-            for arch_cap in [1, 2, usize::MAX] {
-                for workers in [1, 2, 5] {
-                    let batched = run_cells_capped(
-                        &spec,
-                        &cells,
-                        &ResultCache::in_memory(),
-                        workers,
-                        2,
-                        &no_observer,
-                        &pool,
-                        cap,
-                        arch_cap,
-                    )
-                    .unwrap();
-                    assert_eq!(
-                        unbatched, batched,
-                        "cap {cap}, arch cap {arch_cap}, {workers} workers"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn arch_family_batching_never_changes_records() {
-        // A genuine single-sparse family (not the mixed-mode small_spec
-        // archs): the family path hands all members to one multi-window
-        // scheduling pass, which must be byte-identical to the
-        // arch-at-a-time path at every cap combination.
+    /// A genuine single-sparse family (not the mixed-mode `small_spec`
+    /// archs): one workload, one category and one seed tuple, so every
+    /// cell shares the same tile grids.
+    fn family_spec() -> SweepSpec {
         use crate::spec::ArchFamily;
-        let spec = SweepSpec::new("family")
+        SweepSpec::new("family")
             .adhoc_layer("l0", 32, 256, 32, 1.0, 0.2)
             .category(DnnCategory::B)
             .family(ArchFamily::SparseB { max_fanin: 4 })
@@ -937,45 +743,122 @@ mod tests {
             .sim(SimConfig {
                 fidelity: Fidelity::Sampled { tiles: 2, seed: 1 },
                 ..SimConfig::default()
-            });
+            })
+    }
+
+    /// Ground truth: each cell simulated on its own, outside the
+    /// executor, with a fresh scratch. Grid order.
+    fn per_cell_truth(spec: &SweepSpec) -> Vec<CellMetrics> {
+        spec.cells()
+            .iter()
+            .map(|c| {
+                let wl = c.workload.build(c.category, c.seed).unwrap();
+                let accel = Accelerator::new(c.arch.clone(), spec.sim);
+                cell_metrics(&accel.run_with(&wl, &mut SimScratch::new()))
+            })
+            .collect()
+    }
+
+    /// The same records through the batched library APIs the executor no
+    /// longer uses: every seed plane of a (workload, category) in one
+    /// pass, with archs one at a time (`Accelerator::run_batch`) or all
+    /// together (`Accelerator::run_family_batch`). Grid order.
+    fn batched_truth(spec: &SweepSpec, family: bool) -> Vec<CellMetrics> {
+        let mut out = Vec::new();
+        for w in &spec.workloads {
+            for &c in &spec.categories {
+                let wls: Vec<_> = spec.seeds.iter().map(|&s| w.build(c, s).unwrap()).collect();
+                let planes: Vec<&Workload> = wls.iter().collect();
+                let accels: Vec<Accelerator> = spec
+                    .archs
+                    .iter()
+                    .map(|a| Accelerator::new(a.clone(), spec.sim))
+                    .collect();
+                // Indexed [arch][seed plane].
+                let reports: Vec<Vec<RunReport>> = if family {
+                    let refs: Vec<&Accelerator> = accels.iter().collect();
+                    Accelerator::run_family_batch(&refs, &planes, &mut SimScratch::new())
+                } else {
+                    accels
+                        .iter()
+                        .map(|a| a.run_batch(&planes, &mut SimScratch::new()))
+                        .collect()
+                };
+                for p in 0..planes.len() {
+                    out.extend(reports.iter().map(|r| cell_metrics(&r[p])));
+                }
+            }
+        }
+        out
+    }
+
+    /// Runs the whole grid at workers 1, 2, 5 and 8 and checks every
+    /// record against `truth`. One pool serves every run, so later runs
+    /// also start from scratches whose reuse scopes an earlier run left
+    /// behind.
+    fn assert_worker_count_invariant(spec: &SweepSpec, truth: &[CellMetrics]) {
         let cells = spec.cells();
         let pool = ScratchPool::new();
-        let unbatched = run_cells_capped(
-            &spec,
-            &cells,
-            &ResultCache::in_memory(),
-            1,
-            1,
-            &no_observer,
-            &pool,
-            1,
-            1,
-        )
-        .unwrap();
-        for (cap, arch_cap, workers) in [
-            (usize::MAX, 1, 2),
-            (1, usize::MAX, 2),
-            (usize::MAX, usize::MAX, 1),
-            (usize::MAX, usize::MAX, 8),
-            (2, 3, 8),
-        ] {
-            let batched = run_cells_capped(
-                &spec,
+        for workers in [1, 2, 5, 8] {
+            let recs = run_cells_pooled(
+                spec,
                 &cells,
                 &ResultCache::in_memory(),
                 workers,
                 2,
                 &no_observer,
                 &pool,
-                cap,
-                arch_cap,
             )
             .unwrap();
-            assert_eq!(
-                unbatched, batched,
-                "cap {cap}, arch cap {arch_cap}, {workers} workers"
-            );
+            let got: Vec<CellMetrics> = recs.iter().map(|r| r.metrics).collect();
+            assert_eq!(got, truth, "{}: {workers} workers", spec.name);
         }
+    }
+
+    #[test]
+    fn batch_caps_and_worker_count_never_change_records() {
+        // The executor runs one cell per job; seed batching survives only
+        // as `Accelerator::run_batch`. Batched, per-cell and executor
+        // records must agree at every worker count.
+        let spec = small_spec();
+        let truth = per_cell_truth(&spec);
+        assert_eq!(batched_truth(&spec, false), truth, "seed-batched");
+        assert_worker_count_invariant(&spec, &truth);
+    }
+
+    #[test]
+    fn arch_family_batching_never_changes_records() {
+        // A single-sparse family sharing one set of tile grids: one
+        // multi-window `run_family_batch` pass over every arch must match
+        // the per-cell ground truth and the executor at every worker count.
+        let spec = family_spec();
+        let truth = per_cell_truth(&spec);
+        assert_eq!(batched_truth(&spec, true), truth, "family-batched");
+        assert_worker_count_invariant(&spec, &truth);
+    }
+
+    #[test]
+    fn single_workload_campaign_runs_on_every_worker() {
+        // Each thread's first `Started` waits (bounded) for a `Started`
+        // from another thread, so two ids are seen only if two workers
+        // simulate cells of the one workload concurrently.
+        let spec = family_spec();
+        let seen: Mutex<Vec<std::thread::ThreadId>> = Mutex::new(Vec::new());
+        let arrived = std::sync::Condvar::new();
+        run_cells(&spec, &spec.cells(), &ResultCache::in_memory(), 2, &|ev| {
+            if let CellEvent::Started { .. } = ev {
+                let me = std::thread::current().id();
+                let mut ids = seen.lock().unwrap();
+                if !ids.contains(&me) {
+                    ids.push(me);
+                    arrived.notify_all();
+                    let timeout = std::time::Duration::from_secs(10);
+                    drop(arrived.wait_timeout_while(ids, timeout, |ids| ids.len() < 2));
+                }
+            }
+        })
+        .unwrap();
+        assert_eq!(seen.into_inner().unwrap().len(), 2, "two workers started");
     }
 
     #[test]

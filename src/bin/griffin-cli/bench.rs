@@ -277,9 +277,8 @@ pub fn run_bench(args: &BenchArgs) -> Result<Json, String> {
     );
 
     // --- campaign: cells/second through the sweep engine ---------------
-    // Multiple mask seeds so the executor's seed-variant batching (one
-    // word-parallel `run_batch` per arch across all seeds) is on the
-    // measured path, exactly as in real sweeps.
+    // Multiple mask seeds and a whole arch family, as in real sweeps;
+    // the executor runs each (arch, seed) cell as its own job.
     let layers = if args.quick { 2 } else { 4 };
     let seeds: Vec<u64> = if args.quick {
         vec![1, 2]
