@@ -1,5 +1,6 @@
 //! Ablations of the reproduction's own modelling choices (not a paper
-//! table — this target quantifies the design decisions DESIGN.md makes):
+//! table — this target quantifies design decisions the reproduction
+//! makes where the paper leaves a choice open):
 //!
 //! 1. **arbitration priority** — Bit-Tactical's own-op-first (paper)
 //!    vs earliest-op-first,

@@ -17,7 +17,7 @@ fn main() {
     // Power is re-scaled from each design's home-category activity to
     // the panel's category (Table VII rows are home-activity; Figure 8's
     // per-category points imply activity-dependent power — see
-    // EXPERIMENTS.md).
+    // `CostModel::scale_power_to_activity`).
     let mut results = Vec::new();
     for cat in DnnCategory::ALL {
         println!();

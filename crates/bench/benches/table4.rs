@@ -48,5 +48,5 @@ fn main() {
     println!("Note: MobileNetV2 measures below the paper because our per-group");
     println!("im2col lowering of depthwise convolutions is tighter than the");
     println!("paper's mapping; every architecture shares the same lowering, so");
-    println!("relative comparisons are unaffected (see EXPERIMENTS.md).");
+    println!("relative comparisons are unaffected.");
 }

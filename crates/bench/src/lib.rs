@@ -1,8 +1,9 @@
 //! Shared harness for the table/figure benchmarks.
 //!
 //! Every `harness = false` bench target under `benches/` regenerates one
-//! table or figure of the paper's evaluation section (see DESIGN.md's
-//! experiment index). This library provides the common machinery:
+//! table or figure of the paper's evaluation section (the README's
+//! Benchmarks section lists the targets). This library provides the
+//! common machinery:
 //! cached workload construction, geomean aggregation over the six
 //! Table IV benchmarks, efficiency computation and aligned printing of
 //! "paper vs measured" rows.

@@ -2,9 +2,7 @@
 
 use griffin_sim::config::SimConfig;
 use griffin_sim::layer::GemmLayer;
-use griffin_sim::pipeline::{
-    simulate_layer, simulate_network_batch, simulate_network_multi_arch, simulate_network_with,
-};
+use griffin_sim::pipeline::{simulate_layer, simulate_network_with};
 use griffin_sim::report::{LayerReport, NetworkReport};
 use griffin_sim::scratch::SimScratch;
 use griffin_tensor::error::TensorError;
@@ -130,112 +128,6 @@ impl Accelerator {
     pub fn run_with(&self, workload: &Workload, scratch: &mut SimScratch) -> RunReport {
         let mode = self.spec.mode_for(workload.category);
         let network = simulate_network_with(&workload.layers, mode, &self.cfg, scratch);
-        self.assemble_report(workload, mode, network)
-    }
-
-    /// Runs K seed-variant workloads in one batched pass, returning one
-    /// report per workload in input order.
-    ///
-    /// Workloads sharing a category and per-layer shapes (seed variants
-    /// of one workload spec do) have their tile op grids built
-    /// word-parallel across the batch and are keyed per plane in the
-    /// scratch's reuse scope; anything else — mixed categories, uneven
-    /// shapes, modes without a batched kernel — falls back to
-    /// plane-sequential simulation. Either way every report is
-    /// **exactly** what [`Accelerator::run_with`] returns for that
-    /// workload alone (pinned by batch-equivalence tests), so callers
-    /// may batch opportunistically without perturbing results.
-    pub fn run_batch(&self, workloads: &[&Workload], scratch: &mut SimScratch) -> Vec<RunReport> {
-        let Some(first) = workloads.first() else {
-            return Vec::new();
-        };
-        if !workloads.iter().all(|w| w.category == first.category) {
-            // Mixed categories mean mixed modes: simulate each plane on
-            // its own, keyed separately so cached grids cannot collide.
-            let reports = workloads
-                .iter()
-                .enumerate()
-                .map(|(p, w)| {
-                    scratch.set_plane(p as u32);
-                    self.run_with(w, scratch)
-                })
-                .collect();
-            scratch.set_plane(0);
-            return reports;
-        }
-        let mode = self.spec.mode_for(first.category);
-        let networks: Vec<&[GemmLayer]> = workloads.iter().map(|w| w.layers.as_slice()).collect();
-        let reports = simulate_network_batch(&networks, mode, &self.cfg, scratch);
-        workloads
-            .iter()
-            .zip(reports)
-            .map(|(w, network)| self.assemble_report(w, mode, network))
-            .collect()
-    }
-
-    /// Runs a whole architecture *family* over K seed-variant workloads
-    /// in one pass, returning `[accelerator][workload]` reports.
-    ///
-    /// This is the arch-axis extension of [`Accelerator::run_batch`]:
-    /// when every accelerator shares this one's simulator configuration
-    /// and every workload shares one category, the family's sparsity
-    /// modes go through
-    /// [`simulate_network_multi_arch`] together, so same-reach
-    /// borrowing windows share event-core passes and the scratch's
-    /// window-keyed schedule cache serves repeat windows. Anything that
-    /// breaks the preconditions falls back to per-accelerator
-    /// [`Accelerator::run_batch`] calls. Every report is **exactly**
-    /// what `accels[i].run_with(workloads[j], ..)` returns (pinned by
-    /// batch-equivalence tests), so sweep drivers may regroup batches
-    /// freely without perturbing results.
-    pub fn run_family_batch(
-        accels: &[&Accelerator],
-        workloads: &[&Workload],
-        scratch: &mut SimScratch,
-    ) -> Vec<Vec<RunReport>> {
-        let Some(first_w) = workloads.first() else {
-            return vec![Vec::new(); accels.len()];
-        };
-        let same_cfg = accels.windows(2).all(|pair| pair[0].cfg == pair[1].cfg);
-        let same_cat = workloads.iter().all(|w| w.category == first_w.category);
-        if !same_cfg || !same_cat {
-            return accels
-                .iter()
-                .map(|a| a.run_batch(workloads, scratch))
-                .collect();
-        }
-        let Some(first_a) = accels.first() else {
-            return Vec::new();
-        };
-        let modes: Vec<griffin_sim::config::SparsityMode> = accels
-            .iter()
-            .map(|a| a.spec.mode_for(first_w.category))
-            .collect();
-        let networks: Vec<&[GemmLayer]> = workloads.iter().map(|w| w.layers.as_slice()).collect();
-        let family = simulate_network_multi_arch(&networks, &modes, &first_a.cfg, scratch);
-        accels
-            .iter()
-            .zip(modes)
-            .zip(family)
-            .map(|((a, mode), nets)| {
-                workloads
-                    .iter()
-                    .zip(nets)
-                    .map(|(w, network)| a.assemble_report(w, mode, network))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Prices the design for the achieved speedup and assembles the run
-    /// report — the shared tail of [`Accelerator::run_with`] and
-    /// [`Accelerator::run_batch`].
-    fn assemble_report(
-        &self,
-        workload: &Workload,
-        mode: griffin_sim::config::SparsityMode,
-        network: NetworkReport,
-    ) -> RunReport {
         let speedup = if workload.layers.is_empty() {
             1.0
         } else {
@@ -263,6 +155,43 @@ impl Accelerator {
             effective_tops_per_w: eff.tops_per_w,
             effective_tops_per_mm2: eff.tops_per_mm2,
         }
+    }
+
+    /// Runs K seed-variant workloads, returning one report per workload
+    /// in input order: plane `p` is [`Accelerator::run_with`] on
+    /// `workloads[p]`, so every report is **exactly** what a solo run
+    /// returns (pinned by batch-equivalence tests).
+    ///
+    /// Each workload simulates under its own batch plane
+    /// ([`SimScratch::set_plane`]), so a caller-opened reuse scope can
+    /// hold every plane's tile grids at once without one plane reading
+    /// another's.
+    pub fn run_batch(&self, workloads: &[&Workload], scratch: &mut SimScratch) -> Vec<RunReport> {
+        let reports = workloads
+            .iter()
+            .enumerate()
+            .map(|(p, w)| {
+                scratch.set_plane(p as u32);
+                self.run_with(w, scratch)
+            })
+            .collect();
+        scratch.set_plane(0);
+        reports
+    }
+
+    /// Runs an architecture family over K seed-variant workloads,
+    /// returning `[accelerator][workload]` reports: one
+    /// [`Accelerator::run_batch`] per accelerator, so every report is
+    /// **exactly** what `accels[i].run_with(workloads[j], ..)` returns.
+    pub fn run_family_batch(
+        accels: &[&Accelerator],
+        workloads: &[&Workload],
+        scratch: &mut SimScratch,
+    ) -> Vec<Vec<RunReport>> {
+        accels
+            .iter()
+            .map(|a| a.run_batch(workloads, scratch))
+            .collect()
     }
 }
 

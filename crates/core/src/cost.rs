@@ -3,7 +3,7 @@
 //! The paper synthesizes every architecture in 7 nm (Synopsys DC,
 //! 800 MHz, 0.71 V) and reports per-component power/area breakdowns in
 //! Table VII. We cannot run a 7 nm flow, so this module substitutes a
-//! **calibrated component model** (see DESIGN.md):
+//! **calibrated component model**:
 //!
 //! * [`CostModel::calibrated`] returns the *exact published rows* for
 //!   the eight named designs of Table VII — these anchor Figure 8 and
@@ -15,9 +15,9 @@
 //!   the design-space sweeps of Figures 5–7, where only *relative*
 //!   cost matters.
 //!
-//! Known parametric residuals vs Table VII (documented in
-//! EXPERIMENTS.md): REG/WR pipeline registers and SRAM bandwidth scaling
-//! are fit within ±30%; everything else is within ±15%.
+//! Known parametric residuals vs Table VII: REG/WR pipeline registers
+//! and SRAM bandwidth scaling are fit within ±30%; everything else is
+//! within ±15%.
 
 use griffin_tensor::shape::CoreDims;
 
@@ -353,8 +353,10 @@ impl Activity {
 
 impl CostModel {
     /// Re-scales a home-activity power breakdown to another workload's
-    /// activity (extension; see EXPERIMENTS.md). Area is unchanged —
-    /// silicon does not shrink with activity.
+    /// activity (an extension of this reproduction: Table VII rows are
+    /// home-activity, while Figure 8's per-category points imply
+    /// activity-dependent power). Area is unchanged — silicon does not
+    /// shrink with activity.
     pub fn scale_power_to_activity(cost: &CostBreakdown, act: Activity) -> CostBreakdown {
         let p = &cost.power;
         let dyn_frac = 0.85; // static (leakage) floor per component

@@ -15,10 +15,7 @@ use crate::layer::GemmLayer;
 use crate::report::{LayerReport, NetworkReport};
 use crate::scratch::SimScratch;
 use crate::single::{
-    simulate_dense, simulate_sparse_a_batch, simulate_sparse_a_multi_arch,
-    simulate_sparse_a_multi_arch_batch, simulate_sparse_a_with, simulate_sparse_b_batch,
-    simulate_sparse_b_multi_arch, simulate_sparse_b_multi_arch_batch, simulate_sparse_b_with,
-    ArchVariant, ScheduleAccum,
+    simulate_dense, simulate_sparse_a_with, simulate_sparse_b_with, ScheduleAccum,
 };
 use crate::sparten::{simulate_sparten_with, SpartenParams};
 
@@ -78,19 +75,7 @@ pub fn simulate_layer_with(
             simulate_sparten_with(layer, a_sparse, b_sparse, params, cfg, scratch)
         }
     };
-    assemble_layer_report(layer, mode, cfg, acc)
-}
 
-/// Turns a layer's schedule accumulator into its full report: bandwidth
-/// floors, replica weighting, per-layer counters. Shared by the
-/// single-layer and batched paths so both produce bit-identical reports
-/// from identical accumulators.
-fn assemble_layer_report(
-    layer: &GemmLayer,
-    mode: SparsityMode,
-    cfg: &SimConfig,
-    acc: ScheduleAccum,
-) -> LayerReport {
     let traffic = layer_traffic(layer.shape, cfg.core, b_stream_factor(layer, mode));
     let bw_floor = bw_floor_cycles(traffic, cfg.bw);
     let reps = layer.replicas as f64;
@@ -137,187 +122,6 @@ pub fn simulate_network_with(
             })
             .collect(),
     }
-}
-
-/// Simulates K seed-variant networks (same layer count, same per-layer
-/// shapes) under one mode, batching each layer's tile grids
-/// word-parallel where the mode supports it.
-///
-/// `networks[p]` is plane `p`'s layer list. Single-sparse modes
-/// (`SparseA`, `SparseB`) batch through [`simulate_sparse_a_batch`] /
-/// [`simulate_sparse_b_batch`]; `Dense` is pure arithmetic; the dual
-/// and SparTen pipelines run plane-sequential (their per-pair stage-2
-/// replay has no shared word walk), each plane keyed separately in the
-/// grid cache via `scratch.plane`. Every plane's report is **exactly**
-/// what [`simulate_network_with`] produces for it alone — the batched
-/// builders yield identical grids and the accumulator math is shared —
-/// which is what lets the sweep executor mix batched and unbatched
-/// execution freely.
-///
-/// Layer shapes that diverge across planes (or an uneven layer count)
-/// fall back to plane-sequential simulation for the whole call.
-pub fn simulate_network_batch(
-    networks: &[&[GemmLayer]],
-    mode: SparsityMode,
-    cfg: &SimConfig,
-    scratch: &mut SimScratch,
-) -> Vec<NetworkReport> {
-    let Some(first) = networks.first() else {
-        return Vec::new();
-    };
-    let batchable = matches!(
-        mode,
-        SparsityMode::SparseA { .. } | SparsityMode::SparseB { .. }
-    ) && networks.iter().all(|n| {
-        n.len() == first.len()
-            && n.iter()
-                .zip(first.iter())
-                .all(|(a, b)| a.shape == b.shape && a.replicas == b.replicas)
-    });
-    if !batchable {
-        // Plane-sequential fallback; each plane keys its own grids.
-        let reports = networks
-            .iter()
-            .enumerate()
-            .map(|(p, net)| {
-                scratch.plane = p as u32;
-                simulate_network_with(net, mode, cfg, scratch)
-            })
-            .collect();
-        scratch.plane = 0;
-        return reports;
-    }
-
-    let mut reports: Vec<NetworkReport> = networks
-        .iter()
-        .map(|_| NetworkReport { layers: Vec::new() })
-        .collect();
-    for i in 0..first.len() {
-        scratch.layer_idx = i as u32;
-        let layers: Vec<&GemmLayer> = networks.iter().map(|n| &n[i]).collect();
-        let accs = match mode {
-            SparsityMode::SparseA { win, shuffle } => {
-                simulate_sparse_a_batch(&layers, win, shuffle, cfg, scratch)
-            }
-            SparsityMode::SparseB { win, shuffle } => {
-                simulate_sparse_b_batch(&layers, win, shuffle, cfg, scratch)
-            }
-            _ => unreachable!("batchable is only true for single-sparse modes"),
-        };
-        for (p, acc) in accs.into_iter().enumerate() {
-            reports[p]
-                .layers
-                .push(assemble_layer_report(layers[p], mode, cfg, acc));
-        }
-    }
-    reports
-}
-
-/// Simulates K seed-variant networks under V architecture variants of
-/// one sparsity family in a single pass, returning `[variant][plane]`
-/// reports.
-///
-/// This is the arch-axis extension of [`simulate_network_batch`]:
-/// besides the seed-plane batchability checks (same layer count, same
-/// per-layer shapes and replicas across planes) it checks the *arch
-/// axis* — every mode must belong to the same single-sparse family
-/// (all `SparseB` or all `SparseA`), which is the precondition for the
-/// multi-arch tile entries to share grids and schedules. When both
-/// axes batch, each layer runs through one
-/// [`simulate_sparse_b_multi_arch_batch`] /
-/// [`simulate_sparse_a_multi_arch_batch`] call; when only the arch
-/// axis batches, planes run sequentially through the single-plane
-/// multi-arch entries; otherwise the whole call falls back to
-/// per-variant [`simulate_network_batch`]. Every report is **exactly**
-/// what a per-variant call produces — the multi-arch schedulers are
-/// pinned bitwise-identical — so callers may mix family-batched and
-/// per-arch execution freely.
-pub fn simulate_network_multi_arch(
-    networks: &[&[GemmLayer]],
-    modes: &[SparsityMode],
-    cfg: &SimConfig,
-    scratch: &mut SimScratch,
-) -> Vec<Vec<NetworkReport>> {
-    let Some(first) = networks.first() else {
-        return vec![Vec::new(); modes.len()];
-    };
-    // Arch-axis batchability: one single-sparse family end to end.
-    let all_b = modes
-        .iter()
-        .all(|m| matches!(m, SparsityMode::SparseB { .. }));
-    let all_a = modes
-        .iter()
-        .all(|m| matches!(m, SparsityMode::SparseA { .. }));
-    if !(all_b || all_a) || modes.is_empty() {
-        return modes
-            .iter()
-            .map(|&mode| simulate_network_batch(networks, mode, cfg, scratch))
-            .collect();
-    }
-    let variants: Vec<ArchVariant> = modes
-        .iter()
-        .map(|m| match *m {
-            SparsityMode::SparseB { win, shuffle } | SparsityMode::SparseA { win, shuffle } => {
-                (win, shuffle)
-            }
-            _ => unreachable!("family membership checked above"),
-        })
-        .collect();
-    // Seed-plane batchability: identical shape sequence on every plane.
-    let planes_batch = networks.iter().all(|n| {
-        n.len() == first.len()
-            && n.iter()
-                .zip(first.iter())
-                .all(|(a, b)| a.shape == b.shape && a.replicas == b.replicas)
-    });
-
-    let mut reports: Vec<Vec<NetworkReport>> = modes
-        .iter()
-        .map(|_| {
-            networks
-                .iter()
-                .map(|_| NetworkReport { layers: Vec::new() })
-                .collect()
-        })
-        .collect();
-    if planes_batch {
-        for i in 0..first.len() {
-            scratch.layer_idx = i as u32;
-            let layers: Vec<&GemmLayer> = networks.iter().map(|n| &n[i]).collect();
-            let accs = if all_b {
-                simulate_sparse_b_multi_arch_batch(&layers, &variants, cfg, scratch)
-            } else {
-                simulate_sparse_a_multi_arch_batch(&layers, &variants, cfg, scratch)
-            };
-            for (v, row) in accs.into_iter().enumerate() {
-                for (p, acc) in row.into_iter().enumerate() {
-                    reports[v][p]
-                        .layers
-                        .push(assemble_layer_report(layers[p], modes[v], cfg, acc));
-                }
-            }
-        }
-    } else {
-        // Plane-sequential, arch-batched: each plane keys its own grids.
-        for (p, net) in networks.iter().enumerate() {
-            scratch.plane = p as u32;
-            for (i, l) in net.iter().enumerate() {
-                scratch.layer_idx = i as u32;
-                let accs = if all_b {
-                    simulate_sparse_b_multi_arch(l, &variants, cfg, scratch)
-                } else {
-                    simulate_sparse_a_multi_arch(l, &variants, cfg, scratch)
-                };
-                for (v, acc) in accs.into_iter().enumerate() {
-                    reports[v][p]
-                        .layers
-                        .push(assemble_layer_report(l, modes[v], cfg, acc));
-                }
-            }
-        }
-        scratch.plane = 0;
-    }
-    reports
 }
 
 #[cfg(test)]

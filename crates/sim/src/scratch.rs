@@ -25,9 +25,7 @@ use std::collections::HashMap;
 
 use griffin_tensor::shape::CoreDims;
 
-use crate::config::Priority;
-use crate::engine::{Assignment, OpGrid, SchedScratch, Schedule};
-use crate::window::EffectiveWindow;
+use crate::engine::{Assignment, OpGrid, SchedScratch};
 
 /// Identity of one memoized tile grid inside a reuse scope.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -46,49 +44,24 @@ pub(crate) struct GridKey {
     /// Batch plane (seed-variant index) the grid belongs to. Plain
     /// `run_with` simulations always use plane 0; `run_batch` keys each
     /// seed variant by its position in the batch so K same-shape
-    /// workloads can share one reuse scope without colliding.
+    /// workloads can share one reuse scope without reading each
+    /// other's grids.
     pub plane: u32,
 }
 
-/// Identity of one memoized tile *schedule* inside a reuse scope: the
-/// grid it ran on plus the effective window and arbitration priority.
-/// Two architectures of a family that resolve to the same key provably
-/// produce the same [`Schedule`], so the multi-arch simulators serve
-/// the second one from this cache instead of re-running the event core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct SchedKey {
-    /// The memoized grid the schedule was computed on.
-    pub grid: GridKey,
-    /// Effective scheduling window.
-    pub win: EffectiveWindow,
-    /// Arbitration priority.
-    pub priority: Priority,
-}
-
-/// Cross-architecture schedule-sharing counters, accumulated by the
-/// `simulate_*_multi_arch*` entries for cache-stats telemetry.
+/// Retired schedule-sharing counters, kept only so the benchmark's
+/// traced run still compiles against this API.
+///
+/// Every simulation runs through one per-cell path that shares no
+/// schedules, so both fields are always zero. The next benchmark
+/// change deletes this type, [`SimScratch::share_stats`] and the
+/// `sim.replay_frac` metric together.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ShareStats {
-    /// Windows requested through multi-arch scheduling entries.
+    /// Windows requested through multi-window scheduling (always 0).
     pub multi_windows: u64,
-    /// Full event-core passes actually executed for those windows.
-    pub multi_passes: u64,
-    /// Windows served by saturating-depth replay inside
-    /// [`schedule_multi`](crate::engine::schedule_multi).
+    /// Windows served by saturating-depth replay (always 0).
     pub multi_replayed: u64,
-    /// Windows served from the window-keyed schedule cache (duplicate
-    /// effective windows across a family, or re-requests within one
-    /// reuse scope).
-    pub sched_cache_hits: u64,
-}
-
-impl ShareStats {
-    /// Schedules that were shared rather than recomputed: for a family
-    /// of `K` window requests resolving to one distinct schedule, this
-    /// is `K − 1`.
-    pub fn shared(&self) -> u64 {
-        self.multi_windows - self.multi_passes
-    }
 }
 
 /// Reusable buffers for layer/network simulation. See the module docs
@@ -109,22 +82,12 @@ pub struct SimScratch {
     /// not on the borrowing window — so one build serves every
     /// architecture of a sweep.
     pub(crate) grids: HashMap<GridKey, OpGrid>,
-    /// Window-keyed schedule cache of the current scope, the
-    /// cross-architecture companion of `grids`: schedules depend on the
-    /// grid *and* the effective window, so family members that share
-    /// both reuse the cached result.
-    pub(crate) scheds: HashMap<SchedKey, Schedule>,
-    /// Cross-architecture sharing counters (monotonic per scratch).
-    pub(crate) share_stats: ShareStats,
     /// Layer index the pipeline is currently simulating (keys the grid
     /// cache within a scope).
     pub(crate) layer_idx: u32,
     /// Batch plane of the workload currently simulating (keys the grid
     /// cache within a scope; 0 outside `run_batch`).
     pub(crate) plane: u32,
-    /// Reusable grids for the word-parallel batch builders when no
-    /// reuse scope is active (one per plane, grown on demand).
-    pub(crate) batch_grids: Vec<OpGrid>,
     /// Secondary grid for the dual pipeline's stage-2 replay.
     pub(crate) grid2: OpGrid,
     /// Assignment stream of the most recent `schedule_assign_with`.
@@ -161,33 +124,25 @@ impl SimScratch {
     pub fn begin_reuse_scope(&mut self, token: u128) {
         if self.scope != Some(token) {
             self.grids.clear();
-            self.scheds.clear();
             self.scope = Some(token);
         }
     }
 
-    /// Closes the grid-reuse scope and frees the memoized grids and
-    /// schedules.
+    /// Closes the grid-reuse scope and frees the memoized grids.
     pub fn end_reuse_scope(&mut self) {
         self.scope = None;
         self.grids.clear();
-        self.scheds.clear();
     }
 
-    /// Cross-architecture schedule-sharing counters accumulated so far.
+    /// Always-zero [`ShareStats`]; see its docs.
     pub fn share_stats(&self) -> ShareStats {
-        self.share_stats
-    }
-
-    /// Resets the sharing counters (e.g. between benchmark phases).
-    pub fn reset_share_stats(&mut self) {
-        self.share_stats = ShareStats::default();
+        ShareStats::default()
     }
 
     /// Selects the batch plane that keys memoized tile grids (plane 0
-    /// is the plain single-run plane). Batch drivers give each
-    /// seed-variant workload its own plane so one reuse scope holds a
-    /// whole batch without key collisions; plain `run_with` callers
+    /// is the plain single-run plane). `Accelerator::run_batch` gives
+    /// each seed-variant workload its own plane so one reuse scope holds
+    /// a whole batch without key collisions; plain `run_with` callers
     /// never need to touch this.
     pub fn set_plane(&mut self, plane: u32) {
         self.plane = plane;

@@ -759,10 +759,11 @@ mod tests {
             .collect()
     }
 
-    /// The same records through the batched library APIs the executor no
-    /// longer uses: every seed plane of a (workload, category) in one
-    /// pass, with archs one at a time (`Accelerator::run_batch`) or all
-    /// together (`Accelerator::run_family_batch`). Grid order.
+    /// The same records through the batch wrappers over `run_with` that
+    /// the executor does not use: every seed plane of a (workload,
+    /// category) in one call, with archs one at a time
+    /// (`Accelerator::run_batch`) or all together
+    /// (`Accelerator::run_family_batch`). Grid order.
     fn batched_truth(spec: &SweepSpec, family: bool) -> Vec<CellMetrics> {
         let mut out = Vec::new();
         for w in &spec.workloads {
@@ -817,9 +818,9 @@ mod tests {
 
     #[test]
     fn batch_caps_and_worker_count_never_change_records() {
-        // The executor runs one cell per job; seed batching survives only
-        // as `Accelerator::run_batch`. Batched, per-cell and executor
-        // records must agree at every worker count.
+        // The executor runs one cell per job; `Accelerator::run_batch`
+        // loops `run_with` over the seed planes. Batched, per-cell and
+        // executor records must agree at every worker count.
         let spec = small_spec();
         let truth = per_cell_truth(&spec);
         assert_eq!(batched_truth(&spec, false), truth, "seed-batched");
@@ -828,9 +829,9 @@ mod tests {
 
     #[test]
     fn arch_family_batching_never_changes_records() {
-        // A single-sparse family sharing one set of tile grids: one
-        // multi-window `run_family_batch` pass over every arch must match
-        // the per-cell ground truth and the executor at every worker count.
+        // A single-sparse family: one `run_family_batch` call over every
+        // arch must match the per-cell ground truth and the executor at
+        // every worker count.
         let spec = family_spec();
         let truth = per_cell_truth(&spec);
         assert_eq!(batched_truth(&spec, true), truth, "family-batched");

@@ -1,9 +1,9 @@
 //! Seeded random tensor generators.
 //!
 //! The paper evaluates pruned checkpoints (Table IV); we substitute
-//! synthetic tensors with the same densities (see DESIGN.md, substitution
-//! table). Two generation flavours match the two sparsity sources the paper
-//! names:
+//! synthetic tensors with the same densities (Table IV's weight and
+//! activation sparsity columns, per benchmark). Two generation flavours
+//! match the two sparsity sources the paper names:
 //!
 //! * **weight pruning** — unstructured magnitude pruning leaves an
 //!   (approximately) i.i.d. Bernoulli nonzero pattern over the weight

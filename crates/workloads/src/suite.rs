@@ -3,8 +3,9 @@
 //! Masks are synthetic but match the paper's published densities and
 //! the structure of real pruned/ReLU tensors: per-channel log-normal
 //! density variation in the channel-minor (NHWC) layout (see
-//! [`griffin_tensor::gen::TensorGen::channel_minor_mask`] and the
-//! substitution table in DESIGN.md). First-layer activations are dense
+//! [`griffin_tensor::gen::TensorGen::channel_minor_mask`]; masks are
+//! drawn at Table IV's densities in place of the paper's pruned
+//! checkpoints). First-layer activations are dense
 //! (images), and attention matmuls never have pruned B operands.
 
 use griffin_core::accelerator::Workload;
@@ -130,8 +131,8 @@ impl BenchmarkInfo {
     /// *category*. Table IV's BERT row has 0% activation sparsity (GeLU),
     /// but Table I defines `DNN.A` / `DNN.AB` as **ReLU** transformers
     /// (MobileBERT-style); for those category experiments we substitute
-    /// the typical ReLU-transformer activation sparsity of 50%
-    /// (documented in DESIGN.md's substitution table).
+    /// the typical ReLU-transformer activation sparsity of 50% (a
+    /// substitution of this reproduction, not a paper number).
     pub fn a_sparsity_in_category(&self) -> f64 {
         if self.a_sparsity == 0.0 {
             0.5

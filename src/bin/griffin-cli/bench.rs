@@ -1,30 +1,19 @@
 //! `griffin-cli bench` — machine-readable scheduler performance
 //! telemetry (`BENCH_sched.json`).
 //!
-//! Three probes, designed to track the perf trajectory of the
+//! Six probes, designed to track the perf trajectory of the
 //! event-driven scheduler core across PRs:
 //!
 //! * **micro** — representative tile grids (the `Sparse.B*` routing, a
 //!   wide lane-reach window, a narrow window, a dense tile) scheduled
 //!   by the event-driven core and by the retained naive reference,
 //!   reporting ns/call, ns/op and the event/reference speedup;
-//! * **multi_window** — a K-window family (one reach, varying depths)
-//!   scheduled by [`schedule_multi`] versus K independent
-//!   [`schedule_with`] passes, on an iid tile (replay never fires; the
-//!   honest no-win overhead) and a structured 2:4 tile (bounded
-//!   run-ahead lag, where saturating-depth replay collapses the
-//!   family);
 //! * **alloc** — allocations per tile in the steady state (grid rebuild
 //!   plus schedule with a reused scratch), counted by the process-wide
 //!   [`griffin::telemetry::CountingAlloc`] — the zero-alloc contract,
 //!   measured rather than asserted;
 //! * **campaign** — a small synthetic sweep through the full campaign
 //!   engine, reporting cells/second;
-//! * **share** — the campaign family run through
-//!   [`Accelerator::run_family_batch`] with the sharing counters from
-//!   [`SimScratch::share_stats`] reported: windows requested,
-//!   event-core passes executed, replays, and window-keyed cache hits
-//!   — the share rate on real masks, observable rather than assumed;
 //! * **fleet** — the same sweep through the sharded fleet coordinator
 //!   (2 in-process shards, journal, merge, assembly), reporting the
 //!   orchestration overhead over a plain campaign;
@@ -42,24 +31,19 @@
 //!   cold one-shot campaign of the same scenario (what a fresh CLI
 //!   invocation pays).
 //!
-//! Regeneration preserves hand-recorded data: top-level sections of an
-//! existing output file that this probe set doesn't produce (e.g.
-//! machine-measured PR-to-PR comparisons) are carried over verbatim by
-//! [`merge_unknown_sections`].
+//! Regeneration rewrites the whole file: every section is a probe.
 
 use std::time::Instant;
 
-use griffin::core::accelerator::Accelerator;
 use griffin::core::category::DnnCategory;
 use griffin::fleet::coordinator::{run_fleet, FleetConfig};
 use griffin::fleet::events::NullSink;
 use griffin::serve::{Daemon, ScenarioSource, ServeConfig, TeeItem};
 use griffin::sim::config::{Fidelity, Priority, SimConfig};
-use griffin::sim::engine::{reference, schedule_multi, schedule_with, OpGrid, SchedScratch};
+use griffin::sim::engine::{reference, schedule_with, OpGrid, SchedScratch};
 use griffin::sim::grid::build_b_grid;
 use griffin::sim::shuffle::LaneMap;
 use griffin::sim::window::{BorrowWindow, EffectiveWindow};
-use griffin::sim::SimScratch;
 use griffin::sweep::json::Json;
 use griffin::sweep::scenario::Scenario;
 use griffin::sweep::{run_campaign, ResultCache, SweepSpec};
@@ -198,59 +182,6 @@ pub fn run_bench(args: &BenchArgs) -> Result<Json, String> {
     }
     push_case("dense_tile", &dense, EffectiveWindow::dense(), &mut scratch);
 
-    // --- multi_window: K-window family vs K independent passes ---------
-    // One shared reach (lane 0, cols 1), depths 2..=9 — a depth column
-    // of the executor's arch axis after window dedup. On iid masks
-    // every slot's run-ahead lag diverges and `schedule_multi` honestly
-    // pays a full pass per window; on structured 2:4 masks the lag
-    // stays bounded, so the deepest window's tracked pass replays the
-    // shallower family members.
-    let fam: Vec<EffectiveWindow> = (1..=8)
-        .map(|d| EffectiveWindow::for_b(BorrowWindow::new(d, 0, 1)))
-        .collect();
-    let structured = {
-        let core = CoreDims::PAPER;
-        OpGrid::from_fn(t_rows, core.k0, 1, core.n0, |t, l, _, c| {
-            (t + l * 7 + c * 13) % 4 < 2
-        })
-    };
-    let mut multi_out = Vec::new();
-    let mut multi_window = Vec::new();
-    for (name, g) in [("iid_tile", &grid), ("structured_2of4", &structured)] {
-        let multi_ns = time_per_call(
-            || {
-                schedule_multi(g, &fam, Priority::OwnFirst, &mut scratch, &mut multi_out);
-            },
-            iters,
-        );
-        let singles_ns = time_per_call(
-            || {
-                for w in &fam {
-                    schedule_with(g, *w, Priority::OwnFirst, &mut scratch);
-                }
-            },
-            iters,
-        );
-        let share = schedule_multi(g, &fam, Priority::OwnFirst, &mut scratch, &mut multi_out);
-        println!(
-            "  multi_window {name:<16} {} wins: multi {multi_ns:>10.0} ns  singles {singles_ns:>10.0} ns  ({:.2}x, {} replayed)",
-            fam.len(),
-            singles_ns / multi_ns,
-            share.replayed
-        );
-        multi_window.push(Json::obj([
-            ("name".into(), Json::Str(name.into())),
-            ("windows".into(), Json::from_f64(fam.len() as f64)),
-            ("replayed".into(), Json::from_f64(share.replayed as f64)),
-            ("multi_ns_per_family".into(), Json::from_f64(multi_ns)),
-            ("singles_ns_per_family".into(), Json::from_f64(singles_ns)),
-            (
-                "speedup_vs_singles".into(),
-                Json::from_f64(singles_ns / multi_ns),
-            ),
-        ]));
-    }
-
     // --- alloc: the zero-alloc steady-state contract -------------------
     let core = CoreDims::PAPER;
     let mask = TensorGen::seeded(3).bernoulli_mask(t_rows * core.k0, core.n0, 0.19);
@@ -317,42 +248,6 @@ pub fn run_bench(args: &BenchArgs) -> Result<Json, String> {
          {cells_per_sec_1w:.1} cells/s single-worker)",
         report_mw.cells.len(),
         report_mw.elapsed_ms
-    );
-
-    // --- share: sharing counters across the campaign arch family ------
-    // The same family the campaign sweeps, run as one family batch with
-    // the counters read back. On real Bernoulli masks the windows are
-    // pairwise distinct and run-ahead lags diverge, so the honest
-    // numbers here are passes ≈ windows and replays ≈ 0 — the adaptive
-    // multi-window walk wins by shared grid builds and cache locality,
-    // not by schedule dedup (see ROADMAP item 4).
-    let fam_archs = ArchFamilyB { quick: args.quick }.family().enumerate();
-    let share_wl =
-        griffin::workloads::synth::synthetic_workload("bench-synth", DnnCategory::B, layers, 1)
-            .map_err(|e| e.to_string())?;
-    let share_sim = SimConfig {
-        fidelity: Fidelity::Sampled { tiles: 4, seed: 1 },
-        ..SimConfig::default()
-    };
-    let accel_objs: Vec<Accelerator> = fam_archs
-        .iter()
-        .map(|a| Accelerator::new(a.clone(), share_sim))
-        .collect();
-    let accels: Vec<&Accelerator> = accel_objs.iter().collect();
-    let mut sim_scratch = SimScratch::new();
-    sim_scratch.begin_reuse_scope(0xBE7C);
-    let share_planes = [&share_wl];
-    let _ = Accelerator::run_family_batch(&accels, &share_planes, &mut sim_scratch);
-    let st = sim_scratch.share_stats();
-    let share_rate = st.shared() as f64 / st.multi_windows.max(1) as f64;
-    println!(
-        "  share: {} archs, {} windows -> {} passes ({} replayed, {} cache hits; {:.1}% shared)",
-        fam_archs.len(),
-        st.multi_windows,
-        st.multi_passes,
-        st.multi_replayed,
-        st.sched_cache_hits,
-        share_rate * 100.0
     );
 
     // --- fleet: orchestration overhead of the sharded coordinator -----
@@ -492,7 +387,6 @@ pub fn run_bench(args: &BenchArgs) -> Result<Json, String> {
             ),
         ),
         ("micro".into(), Json::Arr(micro)),
-        ("multi_window".into(), Json::Arr(multi_window)),
         (
             "alloc".into(),
             Json::obj([
@@ -523,21 +417,6 @@ pub fn run_bench(args: &BenchArgs) -> Result<Json, String> {
                     "cells_per_sec_1_worker".into(),
                     Json::from_f64(cells_per_sec_1w),
                 ),
-            ]),
-        ),
-        (
-            "share".into(),
-            Json::obj([
-                ("archs".into(), Json::from_f64(fam_archs.len() as f64)),
-                ("windows".into(), Json::from_f64(st.multi_windows as f64)),
-                ("passes".into(), Json::from_f64(st.multi_passes as f64)),
-                ("replayed".into(), Json::from_f64(st.multi_replayed as f64)),
-                (
-                    "sched_cache_hits".into(),
-                    Json::from_f64(st.sched_cache_hits as f64),
-                ),
-                ("shared".into(), Json::from_f64(st.shared() as f64)),
-                ("share_rate".into(), Json::from_f64(share_rate)),
             ]),
         ),
         (
@@ -683,31 +562,6 @@ fn watch_stream_lines() -> Vec<String> {
         elapsed_ms: 345,
     });
     evs.iter().map(Event::to_line).collect()
-}
-
-/// Carries over top-level sections of an existing report file that the
-/// fresh report doesn't produce — hand-recorded data (like the measured
-/// `sweep_bert_b_workers1` PR comparison) survives regeneration; probe
-/// sections are always replaced by their fresh values.
-pub fn merge_unknown_sections(fresh: Json, out_path: &str) -> Json {
-    let Json::Obj(mut new) = fresh else {
-        return fresh;
-    };
-    if let Ok(Json::Obj(old)) = std::fs::read_to_string(out_path)
-        .map_err(|e| e.to_string())
-        .and_then(|t| Json::parse(&t).map_err(|e| e.to_string()))
-    {
-        for (k, v) in old {
-            if let std::collections::btree_map::Entry::Vacant(slot) = new.entry(k) {
-                println!(
-                    "  keeping section `{}` from existing {out_path}",
-                    slot.key()
-                );
-                slot.insert(v);
-            }
-        }
-    }
-    Json::Obj(new)
 }
 
 /// Small helper so quick mode sweeps a smaller family.

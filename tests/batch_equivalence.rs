@@ -1,10 +1,11 @@
 //! Batch-equivalence properties: `Accelerator::run_batch` over K
-//! seed-variant workloads must be **bitwise** identical to K independent
-//! `Accelerator::run_with` calls — for every mode (word-parallel batched
-//! builders and plane-sequential fallbacks alike), with and without an
-//! active grid-reuse scope, at any batch width. This is the contract
-//! that lets the sweep executor batch opportunistically: batching is an
-//! execution strategy, never a result change.
+//! seed-variant workloads, and `Accelerator::run_family_batch` over an
+//! architecture family, must be **bitwise** identical to independent
+//! `Accelerator::run_with` calls — for every mode, with and without an
+//! active grid-reuse scope, at any batch width. Inside one scope each
+//! seed variant keys its memoized tile grids by its batch plane; the
+//! scoped cases with two or more planes are what catch a plane reading
+//! another plane's grids.
 
 use griffin::core::accelerator::{Accelerator, RunReport, Workload};
 use griffin::core::arch::ArchSpec;
@@ -125,7 +126,7 @@ fn check_batch(arch: ArchSpec, cfg: SimConfig, workloads: &[Workload]) {
     }
 
     // Under a reuse scope the batch memoizes per-plane tile grids; the
-    // second pass replays entirely from cache and must still agree.
+    // second pass reads every grid from the memo and must still agree.
     let mut scoped = SimScratch::new();
     scoped.begin_reuse_scope(0xBA7C4);
     for pass in 0..2 {
@@ -150,9 +151,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// K seed variants of one workload, batched, equal K solo runs —
-    /// across categories (so both the word-parallel SparseA/SparseB
-    /// kernels and the dual-pipeline plane-sequential fallback run),
-    /// exact and sampled fidelity, and batch widths 1..=4.
+    /// across categories (single-sparse and dual-sparse modes), exact
+    /// and sampled fidelity, and batch widths 1..=4, unscoped and inside
+    /// one reuse scope.
     #[test]
     fn run_batch_equals_independent_runs(
         seed in 0u64..500,
@@ -181,9 +182,9 @@ proptest! {
     }
 }
 
-/// Runs a whole architecture family three ways (per-accelerator
-/// `run_batch`, unscoped family batch, scoped family batch) and checks
-/// every `[accelerator][workload]` report agrees bitwise.
+/// Runs a whole architecture family three ways (unscoped solo
+/// `run_with` per cell, unscoped family batch, scoped family batch) and
+/// checks every `[accelerator][workload]` report agrees bitwise.
 fn check_family(archs: &[ArchSpec], cfg: SimConfig, workloads: &[Workload]) {
     let accels: Vec<Accelerator> = archs
         .iter()
@@ -193,7 +194,12 @@ fn check_family(archs: &[ArchSpec], cfg: SimConfig, workloads: &[Workload]) {
     let planes: Vec<&Workload> = workloads.iter().collect();
     let solo: Vec<Vec<RunReport>> = accels
         .iter()
-        .map(|a| a.run_batch(&planes, &mut SimScratch::new()))
+        .map(|a| {
+            workloads
+                .iter()
+                .map(|w| a.run_with(w, &mut SimScratch::new()))
+                .collect()
+        })
         .collect();
 
     let unscoped = Accelerator::run_family_batch(&refs, &planes, &mut SimScratch::new());
@@ -205,9 +211,9 @@ fn check_family(archs: &[ArchSpec], cfg: SimConfig, workloads: &[Workload]) {
         }
     }
 
-    // Under a reuse scope the family shares memoized grids *and* the
-    // window-keyed schedule cache; a second pass replays from cache and
-    // must still agree.
+    // Under a reuse scope the whole family shares each plane's memoized
+    // grids; a second pass reads every grid from the memo and must
+    // still agree.
     let mut scoped = SimScratch::new();
     scoped.begin_reuse_scope(0xFA417);
     for pass in 0..2 {
@@ -228,10 +234,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// A whole architecture family batched through one
-    /// `run_family_batch` call equals per-accelerator `run_batch` calls
-    /// (themselves pinned to solo runs above) — over random single-
-    /// sparse families with shared-reach members, duplicates, and both
-    /// shuffle flags, on K seed-variant workloads.
+    /// `run_family_batch` call equals solo `run_with` calls — over
+    /// random single-sparse families with shared-reach members,
+    /// duplicates, and both shuffle flags, on K seed-variant workloads,
+    /// unscoped and inside one reuse scope.
     #[test]
     fn run_family_batch_equals_independent_runs(
         seed in 0u64..300,
@@ -267,9 +273,8 @@ proptest! {
 
 #[test]
 fn mixed_mode_family_falls_back_and_still_matches() {
-    // Dense + dual-sparse + single-sparse in one family: no shared
-    // single-sparse axis, so the family call must fall back per
-    // accelerator — and still match bitwise.
+    // Dense + dual-sparse + single-sparse in one family: three modes
+    // in one reuse scope must still match solo runs bitwise.
     let archs = [
         ArchSpec::dense(),
         ArchSpec::griffin(),
@@ -284,14 +289,9 @@ fn mixed_mode_family_falls_back_and_still_matches() {
 
 #[test]
 fn identical_family_members_share_all_but_one_schedule() {
-    // K family members with the *same* window and shuffle flag resolve
-    // to one distinct schedule per (tile, plane): the telemetry must
-    // report exactly K−1 of every K window requests as shared, and the
-    // reports must still equal solo runs. (The real 54-arch SparseB
-    // family has 54 distinct (window, shuffle) combos, so its sharing
-    // comes only from saturating-depth replay on structured masks —
-    // this constructed family pins the cache/dedup half of the
-    // counters.)
+    // K family members with the *same* window and shuffle flag over two
+    // seed planes: every member reads the same memoized grids inside
+    // the scope, and every report must still equal its solo run.
     let k = 5;
     let arch = ArchSpec::sparse_b_star();
     let archs: Vec<ArchSpec> = (0..k).map(|_| arch.clone()).collect();
@@ -300,33 +300,6 @@ fn identical_family_members_share_all_but_one_schedule() {
         variant(DnnCategory::B, &[(16, 128, 32)], 1.0, 0.3, 42),
     ];
     check_family(&archs, SimConfig::default(), &workloads);
-
-    let accels: Vec<Accelerator> = archs
-        .iter()
-        .map(|a| Accelerator::new(a.clone(), SimConfig::default()))
-        .collect();
-    let refs: Vec<&Accelerator> = accels.iter().collect();
-    let planes: Vec<&Workload> = workloads.iter().collect();
-    let mut scratch = SimScratch::new();
-    scratch.begin_reuse_scope(0x54A11);
-    let _ = Accelerator::run_family_batch(&refs, &planes, &mut scratch);
-    let stats = scratch.share_stats();
-    assert!(stats.multi_passes > 0, "family must schedule something");
-    assert_eq!(
-        stats.multi_windows,
-        stats.multi_passes * k as u64,
-        "every distinct schedule serves K identical members"
-    );
-    assert_eq!(
-        stats.shared(),
-        stats.multi_passes * (k as u64 - 1),
-        "K−1 of every K window requests are shared"
-    );
-    assert_eq!(
-        stats.sched_cache_hits + stats.multi_replayed,
-        stats.shared(),
-        "shares are either cache hits or replays"
-    );
 }
 
 #[test]
@@ -362,8 +335,8 @@ fn mixed_category_batch_falls_back_per_plane() {
 
 #[test]
 fn uneven_shapes_fall_back_and_still_match() {
-    // Same category, different per-plane layer shapes: not batchable
-    // word-parallel, must take the plane-sequential path and still match.
+    // Same category, different per-plane layer shapes: each plane
+    // keys its own grids and must still match.
     let a = variant(DnnCategory::B, &[(16, 128, 32)], 1.0, 0.3, 21);
     let b = variant(DnnCategory::B, &[(32, 64, 64)], 1.0, 0.3, 22);
     check_batch(ArchSpec::sparse_b_star(), SimConfig::default(), &[a, b]);

@@ -10,7 +10,7 @@
 
 use griffin::sim::config::Priority;
 use griffin::sim::engine::{
-    reference, schedule_assign_with, schedule_multi, schedule_with, OpGrid, SchedScratch,
+    reference, schedule, schedule_assign_with, schedule_with, OpGrid, SchedScratch,
 };
 use griffin::sim::grid::{build_a_grid, build_b_grid};
 use griffin::sim::shuffle::LaneMap;
@@ -26,6 +26,21 @@ fn grid(t: usize, lanes: usize, rows: usize, cols: usize, density: f64, seed: u6
     OpGrid::from_fn(t, lanes, rows, cols, |tt, l, r, c| {
         mask.get(tt * lanes + l, r * cols + c)
     })
+}
+
+/// Schedules `fam` in order through one reused scratch and checks each
+/// result against a fresh-scratch call and the reference.
+fn assert_family_matches_solo(g: &OpGrid, fam: &[EffectiveWindow], p: Priority) {
+    let mut scratch = SchedScratch::new();
+    for (i, &w) in fam.iter().enumerate() {
+        let reused = schedule_with(g, w, p, &mut scratch);
+        assert_eq!(reused, schedule(g, w, p), "window {i} ({w:?}, {p:?})");
+        assert_eq!(
+            reused,
+            reference::schedule(g, w, p),
+            "window {i} ({w:?}, {p:?}) vs reference"
+        );
+    }
 }
 
 proptest! {
@@ -149,11 +164,12 @@ proptest! {
         }
     }
 
-    /// Multi-window scheduling == K independent `schedule_with` calls,
-    /// bitwise, over random window families: shared-reach groups with
-    /// varying depths, exact duplicates, arbitrary order. Whatever mix
-    /// of full passes and saturating-depth replays `schedule_multi`
-    /// picks, every returned [`Schedule`] must match its solo run.
+    /// A window family scheduled back to back through one reused
+    /// scratch, as a campaign worker does across architectures, is
+    /// bitwise identical to fresh-scratch calls and to the reference
+    /// over random families: shared-reach groups with varying depths,
+    /// exact duplicates, arbitrary order, and more distinct reaches than
+    /// the scratch's tap cache holds.
     #[test]
     fn schedule_multi_matches_independent_schedules(
         seed in 0u64..1000,
@@ -168,21 +184,13 @@ proptest! {
             .iter()
             .map(|&(depth, lane, rows, cols)| EffectiveWindow { depth, lane, rows, cols })
             .collect();
-
-        let mut scratch = SchedScratch::new();
-        let mut out = Vec::new();
-        let share = schedule_multi(&g, &fam, p, &mut scratch, &mut out);
-        prop_assert_eq!(share.scheduled + share.replayed, fam.len());
-        prop_assert_eq!(out.len(), fam.len());
-        for (i, (w, s)) in fam.iter().zip(&out).enumerate() {
-            let solo = schedule_with(&g, *w, p, &mut scratch);
-            prop_assert_eq!(*s, solo, "window {} ({:?}, {:?}) diverged", i, w, p);
-        }
+        assert_family_matches_solo(&g, &fam, p);
     }
 
     /// Structured (N:M) grids keep every slot's run-ahead lag small, so
-    /// saturating-depth replay actually fires; the replayed copies must
-    /// still be bitwise identical to full event-core passes.
+    /// deep same-reach windows saturate; scheduled through one reused
+    /// scratch, each must still match its fresh-scratch and reference
+    /// run bitwise.
     #[test]
     fn replayed_schedules_match_on_structured_grids(
         seed in 0u64..500,
@@ -193,24 +201,19 @@ proptest! {
         lane in 0usize..3,
         cols_reach in 0usize..3,
     ) {
-        // N-of-M periodic columns, phase-shifted per slot.
-        let g = OpGrid::from_fn(24, 6, 2, 4, |t, l, r, c| {
-            (t + l * 7 + r * 5 + c * 13 + seed as usize) % m < n
-        });
         let p = if own_first { Priority::OwnFirst } else { Priority::EarliestFirst };
-        // One shared reach, depths varying: the regime where the
-        // deepest window's tracked pass replays the shallower ones.
+        // One shared reach, depths varying.
         let fam: Vec<EffectiveWindow> = depths
             .iter()
             .map(|&depth| EffectiveWindow { depth, lane, rows: 0, cols: cols_reach })
             .collect();
-
-        let mut scratch = SchedScratch::new();
-        let mut out = Vec::new();
-        let share = schedule_multi(&g, &fam, p, &mut scratch, &mut out);
-        prop_assert_eq!(share.scheduled + share.replayed, fam.len());
-        for (w, s) in fam.iter().zip(&out) {
-            prop_assert_eq!(*s, schedule_with(&g, *w, p, &mut scratch), "win {:?}", w);
+        // The drawn N-of-M pattern and 2:4, periodic columns
+        // phase-shifted per slot.
+        for (m, n) in [(m, n), (4, 2)] {
+            let g = OpGrid::from_fn(24, 6, 2, 4, |t, l, r, c| {
+                (t + l * 7 + r * 5 + c * 13 + seed as usize) % m < n
+            });
+            assert_family_matches_solo(&g, &fam, p);
         }
     }
 
